@@ -7,17 +7,19 @@
    demands the same of its processes: deterministic automata with all
    nondeterminism made explicit.  This tool holds the sources to that axiom
    statically: unordered iteration, polymorphic compare, physical equality,
-   ambient time/randomness, Marshal, and a shared-mutation race heuristic.
+   ambient time/randomness, Marshal, torn atomic updates, data races and
+   purity contracts.
 
-   With --typed, the audit additionally reads the .cmt files dune produced
-   and upgrades the heuristics into typed checks: poly-compare classifies
-   the instantiated comparison type, unguarded-shared-mutation becomes an
+   The audit reads the .cmt files a dune build leaves under --cmt-dir
+   (default _build/default) and checks each source on its typedtree:
+   identifiers by resolved path (module aliases seen through), poly-compare
+   by the instantiated comparison type, unguarded-shared-mutation as an
    interprocedural closure-escape analysis with a lockset classifier, and
-   [@detlint.pure] contracts are enforced.  Sources without a cmt fall back
-   to the untyped parsetree pass.
+   [@detlint.pure] contracts.  A source with no cmt, or whose cmt is older
+   than its text, is an unsuppressible error: run `dune build @check` first.
 
-     flp_detlint lib bin test            # audit the tree (untyped tier)
-     flp_detlint lib bin test --typed    # typed tier (needs a dune build)
+     dune build @check                   # materialise every .cmt
+     flp_detlint lib bin test            # audit the tree (the CI gate)
      flp_detlint lib --rule poly-compare # one rule
      flp_detlint lib bin test --json     # machine-readable report on stdout
      flp_detlint lib bin test --out r.json --jobs 4
@@ -45,8 +47,7 @@ let resolve_rules names =
       in
       go [] names
 
-let run list_rules_flag roots rules jobs json out metrics_file trace_file timings typed
-    cmt_dir =
+let run list_rules_flag roots rules jobs json out metrics_file trace_file timings cmt_dir =
   if list_rules_flag then list_rules ()
   else if jobs < 1 then begin
     Format.eprintf "flp_detlint: --jobs must be at least 1 (got %d)@." jobs;
@@ -62,10 +63,9 @@ let run list_rules_flag roots rules jobs json out metrics_file trace_file timing
         Format.eprintf "flp_detlint: %s@." msg;
         exit 2
     | Ok rules ->
-        let cmt_dir = if typed then Some cmt_dir else None in
         let code =
           Obs.with_reporting ?metrics_file ?trace_file ~timings (fun obs ->
-              match Detlint.Runner.run ~obs ~rules ~jobs ?cmt_dir roots with
+              match Detlint.Runner.run ~obs ~rules ~jobs ~cmt_dir roots with
               | Error msg ->
                   Format.eprintf "flp_detlint: %s@." msg;
                   2
@@ -121,19 +121,11 @@ let trace_arg =
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write a span trace (one JSON object per line) to $(docv).")
 
-let typed_arg =
-  Arg.(value & flag
-       & info [ "typed" ]
-           ~doc:"Run the typed tier: read the .cmt files a dune build produced \
-                 (see --cmt-dir) and audit each compiled source on its \
-                 typedtree; sources without a cmt fall back to the untyped \
-                 parsetree pass.")
-
 let cmt_dir_arg =
   Arg.(value & opt string "_build/default"
        & info [ "cmt-dir" ] ~docv:"DIR"
-           ~doc:"Directory scanned (recursively) for .cmt files when --typed \
-                 is given.")
+           ~doc:"Directory scanned (recursively) for the .cmt files `dune build \
+                 @check` produces; every audited source must have a current one.")
 
 let timings_arg =
   Arg.(value & flag
@@ -147,6 +139,6 @@ let cmd =
        ~doc:"Audit the repository's OCaml sources for determinism and data-race hazards")
     Term.(
       const run $ list_rules_arg $ roots_arg $ rules_arg $ jobs_arg $ json_arg $ out_arg
-      $ metrics_arg $ trace_arg $ timings_arg $ typed_arg $ cmt_dir_arg)
+      $ metrics_arg $ trace_arg $ timings_arg $ cmt_dir_arg)
 
 let () = exit (Cmd.eval cmd)

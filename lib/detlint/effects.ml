@@ -123,38 +123,63 @@ let is_guarded_mutator segs =
   List.exists (fun p -> is_suffix segs p) atomic_mutators
   || List.exists (fun p -> is_suffix segs p) contract_guarded_mutators
 
-(* Ambient effects a [@detlint.pure] function must not reach: wall-clock,
-   ambient randomness, process state, IO.  [Obs.Clock] counts — purity is a
-   stronger contract than determinism-linting, which sanctions that module. *)
+(* Ambient effects: what a [@detlint.pure] function must not reach (every
+   kind), and what the determinism rules ambient-time, ambient-random and
+   marshal flag wherever they appear (their own kinds).  One table decides
+   what "ambient" means for both.  [Obs.Clock] counts for purity, a stronger
+   contract than determinism-linting, which sanctions that module. *)
+type ambient_kind = Wall_clock | Stdlib_random | Marshal_bytes | Other
+
 let ambient_calls =
   [
-    ([ "Sys"; "time" ], "wall-clock read (Sys.time)");
-    ([ "Unix"; "time" ], "wall-clock read (Unix.time)");
-    ([ "Unix"; "gettimeofday" ], "wall-clock read (Unix.gettimeofday)");
-    ([ "Clock"; "now" ], "monotonic-clock read (Obs.Clock.now)");
-    ([ "Clock"; "elapsed" ], "monotonic-clock read (Obs.Clock.elapsed)");
-    ([ "Sys"; "getenv" ], "environment read (Sys.getenv)");
-    ([ "Sys"; "getenv_opt" ], "environment read (Sys.getenv_opt)");
-    ([ "Sys"; "command" ], "subprocess (Sys.command)");
-    ([ "print_string" ], "IO (print_string)");
-    ([ "print_endline" ], "IO (print_endline)");
-    ([ "print_int" ], "IO (print_int)");
-    ([ "print_newline" ], "IO (print_newline)");
-    ([ "prerr_string" ], "IO (prerr_string)");
-    ([ "prerr_endline" ], "IO (prerr_endline)");
-    ([ "read_line" ], "IO (read_line)");
-    ([ "output_string" ], "IO (output_string)");
-    ([ "output_value" ], "IO (output_value)");
-    ([ "input_line" ], "IO (input_line)");
-    ([ "input_value" ], "IO (input_value)");
-    ([ "Printf"; "printf" ], "IO (Printf.printf)");
-    ([ "Printf"; "eprintf" ], "IO (Printf.eprintf)");
-    ([ "Format"; "printf" ], "IO (Format.printf)");
-    ([ "Format"; "eprintf" ], "IO (Format.eprintf)");
-    ([ "exit" ], "process exit");
+    ([ "Sys"; "time" ], Wall_clock, "wall-clock read (Sys.time)");
+    ([ "Unix"; "time" ], Wall_clock, "wall-clock read (Unix.time)");
+    ([ "Unix"; "gettimeofday" ], Wall_clock, "wall-clock read (Unix.gettimeofday)");
+    ([ "Clock"; "now" ], Other, "monotonic-clock read (Obs.Clock.now)");
+    ([ "Clock"; "elapsed" ], Other, "monotonic-clock read (Obs.Clock.elapsed)");
+    ([ "Sys"; "getenv" ], Other, "environment read (Sys.getenv)");
+    ([ "Sys"; "getenv_opt" ], Other, "environment read (Sys.getenv_opt)");
+    ([ "Sys"; "command" ], Other, "subprocess (Sys.command)");
+    ([ "print_string" ], Other, "IO (print_string)");
+    ([ "print_endline" ], Other, "IO (print_endline)");
+    ([ "print_int" ], Other, "IO (print_int)");
+    ([ "print_newline" ], Other, "IO (print_newline)");
+    ([ "prerr_string" ], Other, "IO (prerr_string)");
+    ([ "prerr_endline" ], Other, "IO (prerr_endline)");
+    ([ "read_line" ], Other, "IO (read_line)");
+    ([ "output_string" ], Other, "IO (output_string)");
+    ([ "output_value" ], Marshal_bytes, "IO (output_value)");
+    ([ "input_line" ], Other, "IO (input_line)");
+    ([ "input_value" ], Marshal_bytes, "IO (input_value)");
+    ([ "Printf"; "printf" ], Other, "IO (Printf.printf)");
+    ([ "Printf"; "eprintf" ], Other, "IO (Printf.eprintf)");
+    ([ "Format"; "printf" ], Other, "IO (Format.printf)");
+    ([ "Format"; "eprintf" ], Other, "IO (Format.eprintf)");
+    ([ "exit" ], Other, "process exit");
   ]
 
-let ambient_modules = [ "Random"; "In_channel"; "Out_channel"; "Marshal" ]
+let ambient_modules =
+  [
+    ("Random", Stdlib_random);
+    ("In_channel", Other);
+    ("Out_channel", Other);
+    ("Marshal", Marshal_bytes);
+  ]
+
+(* The ambient kind and description of a call to (normalized) [segs]. *)
+let ambient_of segs =
+  match List.find_opt (fun (p, _, _) -> is_suffix segs p) ambient_calls with
+  | Some (_, kind, what) -> Some (kind, what)
+  | None -> (
+      match segs with
+      | m :: _ :: _ ->
+          List.find_map
+            (fun (am, kind) ->
+              if String.equal am m then
+                Some (kind, "ambient-effect call (" ^ String.concat "." segs ^ ")")
+              else None)
+            ambient_modules
+      | _ -> None)
 
 (* Submission points where a closure crosses onto another domain.  The pool's
    [with_pool] body runs on the calling domain, so it is not one. *)
@@ -177,7 +202,7 @@ type sink = {
   on_use : Tast.base -> Location.t -> unit;
   on_spawn : Typedtree.expression -> Location.t -> unit;
       (* called once per closure argument of a spawn-like application *)
-  enter_spawn : bool;  (* whether to also walk those closure arguments *)
+  aliases : string list Ident.Map.t;  (* the unit's module aliases (Tast.aliases) *)
 }
 
 let nolabel_args args =
@@ -308,17 +333,12 @@ and walk_apply sink d e f args =
           | None -> d)
       | [] -> d)
   | Some segs when List.exists (fun p -> is_suffix segs p) spawn_paths ->
-      (* Closure arguments cross domains: report them to the spawn sink and
-         only walk them when the caller asked to (summaries exclude them —
-         their effects happen on another domain and are charged to the spawn
-         site by the escape analysis, not to this function). *)
+      (* Closure arguments cross domains: report them to the spawn sink
+         without walking them (summaries exclude them — their effects happen
+         on another domain and are charged to the spawn site by the escape
+         analysis, not to this function). *)
       List.iter
-        (fun a ->
-          if is_function a then begin
-            sink.on_spawn a e.exp_loc;
-            if sink.enter_spawn then ignore (walk sink 0 a)
-          end
-          else ignore (walk sink d a))
+        (fun a -> if is_function a then sink.on_spawn a e.exp_loc else ignore (walk sink d a))
         all_args;
       sink.on_ambient
         { what = "domain submission (" ^ String.concat "." (Tast.last_segs 2 segs) ^ ")";
@@ -335,15 +355,13 @@ and walk_apply sink d e f args =
               | None -> ())
           | [] -> ())
       | None -> ());
-      (match List.find_opt (fun (p, _) -> is_suffix segs p) ambient_calls with
-      | Some (_, what) -> sink.on_ambient { what; aloc = e.exp_loc }
-      | None ->
-          (match segs with
-          | m :: _ :: _ when List.exists (fun am -> String.equal am m) ambient_modules ->
-              sink.on_ambient
-                { what = "ambient-effect call (" ^ String.concat "." segs ^ ")";
-                  aloc = e.exp_loc }
-          | _ -> ()));
+      (* Classified on the alias-resolved path, as the ambient rules do. *)
+      (match f.exp_desc with
+      | Texp_ident (p, _, _) -> (
+          match Option.bind (Tast.resolved_segs sink.aliases p) ambient_of with
+          | Some (_, what) -> sink.on_ambient { what; aloc = e.exp_loc }
+          | None -> ())
+      | _ -> ());
       (* Record the call edge for interprocedural resolution. *)
       (match f.exp_desc with
       | Texp_ident (Path.Pident id, _, _) ->
@@ -379,7 +397,7 @@ let peel_params (e : Typedtree.expression) =
   in
   go [] e
 
-let summarize ?(enter_spawn = false) ~params (body : Typedtree.expression) =
+let summarize ~aliases ~params (body : Typedtree.expression) =
   let muts = ref [] and ambients = ref [] and calls = ref [] in
   let uses = ref [] and seen_uses = ref [] and spawns = ref [] in
   let on_use b loc =
@@ -396,7 +414,7 @@ let summarize ?(enter_spawn = false) ~params (body : Typedtree.expression) =
       on_call = (fun c -> calls := c :: !calls);
       on_use;
       on_spawn = (fun closure loc -> spawns := (closure, loc) :: !spawns);
-      enter_spawn;
+      aliases;
     }
   in
   ignore (walk sink 0 body);
@@ -411,6 +429,6 @@ let summarize ?(enter_spawn = false) ~params (body : Typedtree.expression) =
   }
 
 (* Summary of a closure expression ([fun ... ->] chain). *)
-let of_function (e : Typedtree.expression) =
+let of_function ~aliases (e : Typedtree.expression) =
   let params, body = peel_params e in
-  summarize ~params body
+  summarize ~aliases ~params body

@@ -120,59 +120,55 @@ let of_payload (payload : Parsetree.payload) =
       Some (parse_spec s)
   | _ -> None
 
-let of_attributes (src : Source.t) =
-  match src.Source.ast with
-  | Error _ -> []
-  | Ok ast ->
-      let acc = ref [] in
-      let add ~scope (attr : Parsetree.attribute) =
-        if attr.attr_name.txt = "detlint.allow" then
-          let line = attr.attr_loc.Location.loc_start.Lexing.pos_lnum in
-          let first, last = scope in
-          match of_payload attr.attr_payload with
-          | Some (rule, reason) ->
-              acc := { rule; file = src.Source.path; line; first; last; reason } :: !acc
-          | None ->
-              (* Payload that is not a string constant: keep it visible as a
-                 reasonless (hence invalid, hence flagged) suppression. *)
-              acc := { rule = ""; file = src.Source.path; line; first; last; reason = "" }
-                     :: !acc
-      in
-      let span (loc : Location.t) =
-        (loc.loc_start.Lexing.pos_lnum, loc.loc_end.Lexing.pos_lnum)
-      in
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr =
-            (fun self e ->
-              List.iter (add ~scope:(span e.Parsetree.pexp_loc)) e.Parsetree.pexp_attributes;
-              Ast_iterator.default_iterator.expr self e);
-          value_binding =
-            (fun self vb ->
-              List.iter (add ~scope:(span vb.Parsetree.pvb_loc)) vb.Parsetree.pvb_attributes;
-              Ast_iterator.default_iterator.value_binding self vb);
-          structure_item =
-            (fun self item ->
-              (match item.Parsetree.pstr_desc with
-              | Pstr_attribute attr ->
-                  (* A floating [@@@detlint.allow ...] covers the rest of the
-                     file — the module-scope form. *)
-                  let line = item.pstr_loc.Location.loc_start.Lexing.pos_lnum in
-                  add ~scope:(line, max_int) attr
-              | _ -> ());
-              Ast_iterator.default_iterator.structure_item self item);
-        }
-      in
-      it.structure it ast;
-      List.rev !acc
+(* Attribute pragmas, read from the typedtree, which keeps each node's
+   attributes ([exp_attributes], [vb_attributes], [Tstr_attribute]). *)
+let of_attributes ~file (str : Typedtree.structure) =
+  let acc = ref [] in
+  let add ~scope (attr : Parsetree.attribute) =
+    if attr.attr_name.txt = "detlint.allow" then
+      let line = attr.attr_loc.Location.loc_start.Lexing.pos_lnum in
+      let first, last = scope in
+      match of_payload attr.attr_payload with
+      | Some (rule, reason) -> acc := { rule; file; line; first; last; reason } :: !acc
+      | None ->
+          (* Payload that is not a string constant: keep it visible as a
+             reasonless (hence invalid, hence flagged) suppression. *)
+          acc := { rule = ""; file; line; first; last; reason = "" } :: !acc
+  in
+  let span (loc : Location.t) = (loc.loc_start.Lexing.pos_lnum, loc.loc_end.Lexing.pos_lnum) in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          List.iter (add ~scope:(span e.Typedtree.exp_loc)) e.Typedtree.exp_attributes;
+          Tast_iterator.default_iterator.expr self e);
+      value_binding =
+        (fun self vb ->
+          List.iter (add ~scope:(span vb.Typedtree.vb_loc)) vb.Typedtree.vb_attributes;
+          Tast_iterator.default_iterator.value_binding self vb);
+      structure_item =
+        (fun self item ->
+          (match item.Typedtree.str_desc with
+          | Tstr_attribute attr ->
+              (* A floating [@@@detlint.allow ...] covers the rest of the
+                 file — the module-scope form. *)
+              let line = item.str_loc.Location.loc_start.Lexing.pos_lnum in
+              add ~scope:(line, max_int) attr
+          | _ -> ());
+          Tast_iterator.default_iterator.structure_item self item);
+    }
+  in
+  it.structure it str;
+  List.rev !acc
 
 let compare_pos a b =
   match Int.compare a.line b.line with
   | 0 -> String.compare a.rule b.rule
   | c -> c
 
-let collect src = List.stable_sort compare_pos (of_comments src @ of_attributes src)
+let collect (src : Source.t) str =
+  List.stable_sort compare_pos (of_comments src @ of_attributes ~file:src.Source.path str)
 
 let apply suppressions findings =
   let valid_sups = List.filter valid suppressions in

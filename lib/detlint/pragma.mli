@@ -33,9 +33,9 @@ val valid : t -> bool
 val parse_spec : string -> string * string
 (** [parse_spec "rule-id -- reason"] is [("rule-id", "reason")]. *)
 
-val collect : Source.t -> t list
+val collect : Source.t -> Typedtree.structure -> t list
 (** All suppressions in a source, in line order: comment pragmas from the
-    raw text, attributes from the parsetree. *)
+    raw text, attributes from its typedtree. *)
 
 val apply : t list -> Finding.t list -> Finding.t list * (t * int) list
 (** [apply sups findings] removes findings covered by a valid suppression of

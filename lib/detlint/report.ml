@@ -9,8 +9,6 @@ type suppression = {
 type t = {
   roots : string list;
   files : int;
-  typed : bool;
-  typed_files : int;
   rules_run : string list;
   findings : Finding.t list;
   suppressions : suppression list;
@@ -51,13 +49,9 @@ let pp ppf t =
     | 1 -> "1 error"
     | k -> Printf.sprintf "%d errors" k
   in
-  let tier =
-    if not t.typed then ""
-    else Printf.sprintf ", typed %d/%d" t.typed_files t.files
-  in
-  Format.fprintf ppf "@[<v>== flp-detlint: %s (%d files%s, %d rules, %d findings, %d \
+  Format.fprintf ppf "@[<v>== flp-detlint: %s (%d files, %d rules, %d findings, %d \
                       suppressions silencing %d) =="
-    verdict t.files tier (List.length t.rules_run) (List.length t.findings)
+    verdict t.files (List.length t.rules_run) (List.length t.findings)
     (List.length t.suppressions) (suppressed_count t);
   List.iter (fun f -> Format.fprintf ppf "@,@[<v>%a@]" Finding.pp f) t.findings;
   Format.fprintf ppf "@]"
@@ -75,12 +69,10 @@ let suppression_to_json s =
 let to_json t =
   Flp_json.Obj
     [
-      ("version", Flp_json.Int 2);
+      ("version", Flp_json.Int 3);
       ("tool", Flp_json.Str "flp-detlint");
       ("roots", Flp_json.List (List.map (fun r -> Flp_json.Str r) t.roots));
       ("files", Flp_json.Int t.files);
-      ("typed", Flp_json.Bool t.typed);
-      ("typed_files", Flp_json.Int t.typed_files);
       ("rules", Flp_json.List (List.map (fun r -> Flp_json.Str r) t.rules_run));
       ("findings", Flp_json.List (List.map Finding.to_json t.findings));
       ("errors", Flp_json.Int (error_count t));

@@ -16,10 +16,6 @@ type suppression = {
 type t = {
   roots : string list;  (** as given on the command line *)
   files : int;  (** sources scanned *)
-  typed : bool;  (** whether the typed (cmt) tier ran *)
-  typed_files : int;
-      (** sources whose cmt was found and typed-checked; the remainder fell
-          back to the untyped parsetree tier *)
   rules_run : string list;
   findings : Finding.t list;  (** survivors, after suppression *)
   suppressions : suppression list;

@@ -28,7 +28,8 @@ let unordered_iteration =
     synopsis = "iteration over an unordered container whose order can escape";
     doc =
       "Flags Hashtbl.iter / Hashtbl.fold / Hashtbl.to_seq(_keys/_values) and \
-       Sys.readdir: both enumerate in an unspecified order (bucket layout, \
+       Sys.readdir, by resolved path (through module aliases and opens): \
+       both enumerate in an unspecified order (bucket layout, \
        directory layout) that varies with insertion history, hash seeding and \
        the filesystem, so any result built from the raw order breaks \
        bit-identical replay.  The rule flags every occurrence; sites that \
@@ -46,19 +47,20 @@ let poly_compare =
     severity = Lint.Severity.Error;
     synopsis = "polymorphic structural comparison where the order may not be total";
     doc =
-      "Flags Stdlib.compare anywhere, and a bare [compare] passed to the \
-       List/Array sort family.  Polymorphic compare is not a total order on \
-       floats (nan falls through every comparison — the exact class behind \
-       the Summary.percentile bug), raises on functions, and silently \
-       changes meaning when a type gains a float field.  The analysis is \
-       untyped, so monomorphic uses are flagged too: replace them with the \
-       explicit comparator (Int.compare, Float.compare, a per-type compare) \
-       or suppress with a reason plus a regression test that keeps the type \
-       in polymorphic-compare-safe territory.";
+      "Classifies the instantiated type at every polymorphic comparison \
+       site (compare, =, <>, <, >, <=, >=) and every Set.Make/Map.Make \
+       argument.  Polymorphic compare is not a total order on floats (nan \
+       falls through every comparison — the exact class behind the \
+       Summary.percentile bug), raises on functions, and silently changes \
+       meaning when a type gains a float field.  [compare] is flagged when \
+       its type is proved unsafe or cannot be proved safe (still \
+       polymorphic, abstract); the ordering operators only when proved \
+       unsafe.  Annotate the site with a concrete type, or use the explicit \
+       comparator (Int.compare, Float.compare, a per-type compare).";
     hint =
-      "use an explicit monomorphic comparator (Int.compare, Float.compare, \
-       String.compare, a hand-written per-type compare), or suppress with a \
-       reason and a float-freeness regression test";
+      "annotate the site with a concrete, provably safe type, or use an explicit \
+       monomorphic comparator (Int.compare, Float.compare, String.compare, a \
+       hand-written per-type compare)";
   }
 
 let physical_equality =
@@ -68,7 +70,8 @@ let physical_equality =
     severity = Lint.Severity.Error;
     synopsis = "physical equality (== / !=) outside an identity cache";
     doc =
-      "Flags every use of (==) and (!=).  Physical equality depends on \
+      "Flags every use of the stdlib's (==) and (!=) (a local binding of the \
+       same name is not one).  Physical equality depends on \
        allocation and sharing decisions the language does not specify, so \
        branches taken on it can differ between runs, optimisation levels and \
        jobs counts.  The only legitimate uses are identity caches and \
@@ -86,7 +89,8 @@ let ambient_time =
     severity = Lint.Severity.Error;
     synopsis = "ambient wall-clock reads outside Obs.Clock";
     doc =
-      "Flags Sys.time, Unix.time and Unix.gettimeofday.  Wall-clock reads \
+      "Flags Sys.time, Unix.time and Unix.gettimeofday, by resolved path \
+       (through module aliases).  Wall-clock reads \
        make control flow depend on the host's scheduler and clock, which is \
        exactly what the bit-identical-replay guarantee forbids; all timing \
        goes through Obs.Clock (monotonic-clamped, instrumentation-only) so \
@@ -103,8 +107,9 @@ let ambient_random =
     severity = Lint.Severity.Error;
     synopsis = "ambient stdlib Random outside the seeded Rng";
     doc =
-      "Flags every use of the stdlib Random module (including Random.State \
-       and Random.self_init).  Its global state is invisible to the replay \
+      "Flags every use of the stdlib Random module (including Random.State, \
+       Random.self_init and aliases of the module; a user module named \
+       Random is not it).  Its global state is invisible to the replay \
        seed, so any draw from it forks the run from its recorded seed.  All \
        randomness flows through Sim.Rng, which is explicitly seeded, \
        splittable, and part of every experiment's recorded configuration — \
@@ -132,16 +137,18 @@ let unguarded_shared_mutation =
     id = Unguarded_shared_mutation;
     name = "unguarded-shared-mutation";
     severity = Lint.Severity.Warn;
-    synopsis = "heuristic data-race check on state shared with Domain.spawn closures";
+    synopsis = "data race on state captured by a domain-crossing closure";
     doc =
-      "In any file that calls Domain.spawn, collects the identifiers \
-       captured by the spawned closures and flags writes to them (ref \
-       assignment, mutable-field set, Array.set) that are not syntactically \
-       under Mutex.protect or an Atomic operation.  This is a conservative \
-       static stand-in for the thread sanitizer we cannot run on this \
-       toolchain: manually locked regions and handshake-published writes are \
-       reported and must carry a suppression explaining the protocol that \
-       makes them safe.";
+      "An interprocedural closure-escape analysis: state captured by a \
+       closure that crosses domains (Domain.spawn, Pool.run, Pool.map) and \
+       mutated — inside the closure, or on the submitting side after the \
+       submission, directly or through callees in the cmt index — outside \
+       Mutex.protect / a Mutex.lock region, an Atomic operation or the \
+       sharded metrics' per-worker contract.  This is a conservative static \
+       stand-in for the thread sanitizer we cannot run on this toolchain: \
+       writes published by another happens-before edge are reported and \
+       must carry a suppression explaining the protocol that makes them \
+       safe.";
     hint =
       "wrap the write in Mutex.protect or use Atomic; if a happens-before \
        edge other than a held lock publishes it, suppress with the protocol \
@@ -177,10 +184,10 @@ let purity_contract =
        its arguments, captured state or globals, and must not reach ambient \
        effects (wall clock, stdlib Random, IO, environment, domain \
        submission).  Mutation of fresh local state that the function itself \
-       creates is allowed — purity here is observational.  The rule only \
-       runs on the typed tier (--typed), where the call graph is resolved; \
-       calls that leave the indexed set are assumed effect-free, which is \
-       the contract's documented soundness caveat.";
+       creates is allowed — purity here is observational.  The call graph \
+       is resolved through the cmt index; calls that leave the indexed set \
+       are assumed effect-free, which is the contract's documented \
+       soundness caveat.";
     hint =
       "drop the effect, thread the state explicitly, or remove the \
        [@detlint.pure] attribute if the function is genuinely effectful";

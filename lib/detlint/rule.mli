@@ -2,7 +2,7 @@
 
     Mirrors {!Lint.Rule}: pure metadata — stable kebab-case id, severity,
     one-line synopsis, full doc, fix-it hint — with the implementations
-    living in {!Rules}.  The ids are part of the tool's interface: they are
+    living in {!Trules}.  The ids are part of the tool's interface: they are
     what suppressions name, what [--rule] selects, and what the JSON report
     records, so they must never change meaning. *)
 
@@ -48,15 +48,14 @@ val atomic_rmw : t
 
 val purity_contract : t
 (** [Error]-severity: a [@detlint.pure] binding that (transitively) mutates
-    non-local state or reaches an ambient effect.  Typed tier only. *)
+    non-local state or reaches an ambient effect. *)
 
 val bad_suppression : t
 
 val unused_suppression : t
 (** [Warn]-severity: a valid suppression whose target rule ran on its file
     yet silenced nothing.  Computed by the runner from {!Pragma.apply} use
-    counts (it needs the whole file's findings, not a single AST scan), so
-    {!Rules.check} treats it as a no-op. *)
+    counts (it needs the whole file's findings, not a single tree scan). *)
 
 val all : t list
 (** Catalogue order (also the [--list-rules] order). *)

@@ -37,34 +37,38 @@ let collect_files roots =
              end)
            files)
 
-let check_source ?(rules = Rule.all) ?typed (src : Source.t) =
-  (* On a typed run, the ids Trules implements come from the typedtree and
-     are stripped from the untyped pass — same rule names, same pragmas,
-     better evidence.  A source without a cmt (not compiled, or failing to
-     compile) keeps the full untyped rule set as the fallback tier. *)
-  let untyped_rules =
-    match typed with
-    | None -> rules
-    | Some _ ->
-        List.filter (fun (r : Rule.t) -> not (List.mem r.Rule.id Trules.typed_ids)) rules
-  in
-  let findings = Rules.check_all ~rules:untyped_rules src in
+let bad_suppressions pragmas =
+  let rule = Rule.bad_suppression in
+  List.filter_map
+    (fun (s : Pragma.t) ->
+      if Pragma.valid s then None
+      else
+        let message =
+          if s.Pragma.rule = "" then
+            "suppression carries no rule id (expected: allow <rule-id> -- reason)"
+          else if not (Rule.known s.Pragma.rule) then
+            Printf.sprintf "suppression names unknown rule id %S" s.Pragma.rule
+          else Printf.sprintf "suppression for %S carries no written reason" s.Pragma.rule
+        in
+        Some
+          (Finding.v ~rule:rule.Rule.name ~severity:rule.Rule.severity ~file:s.Pragma.file
+             ~line:s.Pragma.line ~col:0 ~message ~hint:rule.Rule.hint))
+    pragmas
+
+let check_source ?(rules = Rule.all) (src : Typed.source) =
+  let pragmas = Pragma.collect src.Typed.file src.Typed.str in
+  let selected r = List.exists (fun (x : Rule.t) -> x.Rule.id = r) rules in
   let findings =
-    match typed with
-    | None -> findings
-    | Some tsrc ->
-        List.stable_sort Finding.compare (findings @ Trules.check_all ~rules tsrc)
+    List.stable_sort Finding.compare
+      (Trules.check_all ~rules src
+      @ if selected Rule.Bad_suppression then bad_suppressions pragmas else [])
   in
-  let kept, counts = Pragma.apply (Pragma.collect src) findings in
+  let kept, counts = Pragma.apply pragmas findings in
   (* A valid suppression whose target rule ran here yet silenced nothing is
      stale.  Emitted after Pragma.apply, so the warning itself cannot be
      suppressed away — deleting the dead pragma is the only fix. *)
-  let selected r = List.exists (fun (x : Rule.t) -> x.Rule.id = r) rules in
-  let parsed = match src.Source.ast with Ok _ -> true | Error _ -> false in
   let kept =
-    (* An unparsed source hides its findings from every AST rule, so a zero
-       use count proves nothing there. *)
-    if not (selected Rule.Unused_suppression && parsed) then kept
+    if not (selected Rule.Unused_suppression) then kept
     else
       kept
       @ List.filter_map
@@ -83,18 +87,6 @@ let check_source ?(rules = Rule.all) ?typed (src : Source.t) =
             else None)
           counts
   in
-  let kept =
-    match src.Source.ast with
-    | Ok _ -> kept
-    | Error (msg, line) ->
-        (* A file that does not parse cannot be audited; that is itself a
-           hard, unsuppressible error. *)
-        Finding.v ~rule:parse_error_rule ~severity:Lint.Severity.Error
-          ~file:src.Source.path ~line ~col:0
-          ~message:(Printf.sprintf "source does not parse: %s" msg)
-          ~hint:"fix the syntax error; detlint audits only what the compiler would accept"
-        :: kept
-  in
   let suppressions =
     List.map
       (fun ((s : Pragma.t), used) ->
@@ -109,79 +101,71 @@ let check_source ?(rules = Rule.all) ?typed (src : Source.t) =
   in
   (kept, suppressions)
 
-let run ?(obs = Obs.disabled) ?(rules = Rule.all) ?(jobs = 1) ?cmt_dir roots =
+(* A source that cannot be audited — unreadable, not compiled, or changed
+   since it was — is a hard, unsuppressible error: its pragmas cannot speak
+   for a typedtree that does not match it. *)
+let unaudited ~file message =
+  Finding.v ~rule:parse_error_rule ~severity:Lint.Severity.Error ~file ~line:1 ~col:0
+    ~message
+    ~hint:
+      "detlint audits the typedtree the compiler built from this exact text: fix \
+       any compile error, then run `dune build @check`"
+
+let run ?(obs = Obs.disabled) ?(rules = Rule.all) ?(jobs = 1) ~cmt_dir roots =
   if jobs < 1 then invalid_arg "Detlint.Runner.run: jobs must be >= 1";
-  match
-    (* The cmt index — typedtrees, type-declaration tables, effect
-       summaries — is built sequentially before any file is audited, so the
-       parallel per-file checks are pure lookups into frozen tables and the
-       report stays byte-identical at every jobs level. *)
-    match cmt_dir with
-    | None -> Ok None
-    | Some dir -> Result.map Option.some (Typed.load ~cmt_dir:dir)
-  with
+  (* The cmt index — typedtrees, type-declaration tables, effect summaries —
+     is built sequentially before any file is audited, so the parallel
+     per-file checks are pure lookups into frozen tables and the report
+     stays byte-identical at every jobs level. *)
+  match Typed.load ~cmt_dir with
   | Error _ as e -> e
   | Ok index -> (
-  match collect_files roots with
-  | Error _ as e -> e
-  | Ok files ->
-      let metrics = obs.Obs.metrics in
-      let trace = obs.Obs.trace in
-      let t_file = Obs.Metrics.timer metrics "detlint.file" in
-      let check path =
-        Obs.Span.span trace "detlint.file"
-          ~attrs:[ ("file", Flp_json.Str path) ]
-          (fun () ->
-            Obs.Metrics.time t_file (fun () ->
-                match Source.load path with
-                | Ok src ->
-                    let typed =
-                      Option.bind index (fun ix -> Typed.source_of ix ~path)
-                    in
-                    let findings, sups = check_source ~rules ?typed src in
-                    (findings, sups, Option.is_some typed)
-                | Error msg ->
-                    ( [
-                        Finding.v ~rule:parse_error_rule ~severity:Lint.Severity.Error
-                          ~file:path ~line:1 ~col:0
-                          ~message:(Printf.sprintf "cannot read source: %s" msg)
-                          ~hint:"";
-                      ],
-                      [],
-                      false )))
-      in
-      (* Per-file audits are independent; the pool's [map] keeps results in
-         input order, so the merged report is jobs-invariant even before the
-         canonical sort. *)
-      let results =
-        if jobs = 1 then List.map check files
-        else
-          Parallel.Pool.with_pool ~metrics ~jobs (fun pool ->
-              Array.to_list (Parallel.Pool.map pool check (Array.of_list files)))
-      in
-      let findings = List.concat_map (fun (f, _, _) -> f) results in
-      let suppressions = List.concat_map (fun (_, s, _) -> s) results in
-      let typed_files =
-        List.fold_left (fun acc (_, _, t) -> if t then acc + 1 else acc) 0 results
-      in
-      List.iter
-        (fun (f : Finding.t) ->
-          Obs.Metrics.incr (Obs.Metrics.counter metrics ("detlint.findings." ^ f.Finding.rule)) 1)
-        findings;
-      Obs.Metrics.incr (Obs.Metrics.counter metrics "detlint.typed_files") typed_files;
-      Obs.Metrics.incr
-        (Obs.Metrics.counter metrics "detlint.suppressed")
-        (List.fold_left (fun acc (s : Report.suppression) -> acc + s.Report.used) 0 suppressions);
-      Ok
-        (Report.canonical
-           {
-             Report.roots;
-             files = List.length files;
-             typed = Option.is_some index;
-             typed_files;
-             rules_run = List.map (fun (r : Rule.t) -> r.Rule.name) rules;
-             findings;
-             suppressions;
-           }))
+      match collect_files roots with
+      | Error _ as e -> e
+      | Ok files ->
+          let metrics = obs.Obs.metrics in
+          let trace = obs.Obs.trace in
+          let t_file = Obs.Metrics.timer metrics "detlint.file" in
+          let check path =
+            Obs.Span.span trace "detlint.file"
+              ~attrs:[ ("file", Flp_json.Str path) ]
+              (fun () ->
+                Obs.Metrics.time t_file (fun () ->
+                    match Source.load path with
+                    | Error msg -> ([ unaudited ~file:path ("cannot read source: " ^ msg) ], [])
+                    | Ok file -> (
+                        match Typed.source_of index file with
+                        | Ok src -> check_source ~rules src
+                        | Error msg -> ([ unaudited ~file:path msg ], []))))
+          in
+          (* Per-file audits are independent; the pool's [map] keeps results
+             in input order, so the merged report is jobs-invariant even
+             before the canonical sort. *)
+          let results =
+            if jobs = 1 then List.map check files
+            else
+              Parallel.Pool.with_pool ~metrics ~jobs (fun pool ->
+                  Array.to_list (Parallel.Pool.map pool check (Array.of_list files)))
+          in
+          let findings = List.concat_map fst results in
+          let suppressions = List.concat_map snd results in
+          List.iter
+            (fun (f : Finding.t) ->
+              Obs.Metrics.incr
+                (Obs.Metrics.counter metrics ("detlint.findings." ^ f.Finding.rule))
+                1)
+            findings;
+          Obs.Metrics.incr
+            (Obs.Metrics.counter metrics "detlint.suppressed")
+            (List.fold_left (fun acc (s : Report.suppression) -> acc + s.Report.used) 0 suppressions);
+          Ok
+            (Report.canonical
+               {
+                 Report.roots;
+                 files = List.length files;
+                 rules_run = List.map (fun (r : Rule.t) -> r.Rule.name) rules;
+                 findings;
+                 suppressions;
+               }))
 
 let exit_code report = if Report.error_count report > 0 then 1 else 0

@@ -12,30 +12,26 @@ val collect_files : string list -> (string list, string) result
     (\[_build\]…) skipped.  [Error] when a root does not exist. *)
 
 val check_source :
-  ?rules:Rule.t list ->
-  ?typed:Typed.source ->
-  Source.t ->
-  Finding.t list * Report.suppression list
-(** Audit one in-memory source: run the rules, apply its suppressions,
-    append an unsuppressible [Warn] {!Rule.unused_suppression} finding for
-    every valid suppression whose target rule was selected yet silenced
-    nothing, and prepend an unsuppressible [parse-error] finding when the
-    source does not parse.  With [?typed], the ids {!Trules} implements run
-    on the typedtree instead of the parsetree (same rule names, so the same
-    pragmas govern both tiers).  The test fixtures' entry point. *)
+  ?rules:Rule.t list -> Typed.source -> Finding.t list * Report.suppression list
+(** Audit one source on its typedtree: run the rules, apply its
+    suppressions (comment pragmas from the text, attributes from the
+    typedtree), and append an unsuppressible [Warn]
+    {!Rule.unused_suppression} finding for every valid suppression whose
+    target rule was selected yet silenced nothing.  The test fixtures' entry
+    point (with {!Typed.fixture}). *)
 
 val run :
   ?obs:Obs.t ->
   ?rules:Rule.t list ->
   ?jobs:int ->
-  ?cmt_dir:string ->
+  cmt_dir:string ->
   string list ->
   (Report.t, string) result
-(** Audit every source under the roots.  With [?cmt_dir], build the typed
-    tier's cmt index from that directory first (sequentially — per-file
-    checks stay pure lookups) and audit each source whose cmt is found on
-    the typed tier; sources without one fall back to the untyped pass.
-    [Error] only for usage problems (missing root, unreadable or empty cmt
+(** Audit every source under the roots.  The cmt index is built from
+    [cmt_dir] first (sequentially — per-file checks stay pure lookups).  A
+    source with no cmt, or whose cmt was compiled from different text, gets
+    one unsuppressible [parse-error] finding instead of an audit.  [Error]
+    only for usage problems (missing root, unreadable or empty cmt
     directory); source-level problems are findings. *)
 
 val exit_code : Report.t -> int

@@ -1,37 +1,8 @@
-type t = {
-  path : string;
-  text : string;
-  ast : (Parsetree.structure, string * int) result;
-}
-
-(* compiler-libs' [Lexer] keeps its comment and string buffers in global
-   mutable state, so two domains parsing at once corrupt each other (an
-   assertion deep in lexer.mll).  One process-wide mutex serialises the
-   parse; rule scans over the resulting (immutable) parsetrees still run
-   fully in parallel. *)
-let parser_mutex = Mutex.create ()
-
-let parse ~path text =
-  let lexbuf = Lexing.from_string text in
-  Lexing.set_filename lexbuf path;
-  match Mutex.protect parser_mutex (fun () -> Parse.implementation lexbuf) with
-  | ast -> Ok ast
-  | exception exn ->
-      (* The parser's own exceptions carry rich locations but a formatter-based
-         rendering; the current lexer position is enough for a diagnostic. *)
-      let line = lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum in
-      let msg =
-        match exn with
-        | Syntaxerr.Error _ -> "syntax error"
-        | exn -> Printexc.to_string exn
-      in
-      Error (msg, max 1 line)
-
-let of_string ~path text = { path; text; ast = parse ~path text }
+type t = { path : string; text : string }
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | text -> Ok (of_string ~path text)
+  | text -> Ok { path; text }
   | exception Sys_error msg -> Error msg
 
 let lines t = String.split_on_char '\n' t.text

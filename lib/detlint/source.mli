@@ -1,29 +1,15 @@
-(** One OCaml source under audit: raw text plus its parsetree.
-
-    Parsing uses the installed compiler's own front-end
-    ([compiler-libs.common]'s {!Parse}), so detlint sees exactly the syntax
-    the build sees — no second grammar to drift.  The raw text is kept
-    alongside the AST because suppression pragmas live in comments, which
-    the parser discards. *)
+(** One OCaml source under audit: the path it was scanned under and its raw
+    text.  The rules read the compiler's typedtree (see {!Typed}); the raw
+    text is kept because comment pragmas live in comments, which the
+    compiler discards, and because its digest is what proves the typedtree
+    current. *)
 
 type t = {
   path : string;  (** as given; echoed verbatim into findings *)
   text : string;
-  ast : (Parsetree.structure, string * int) result;
-      (** [Error (message, line)] when the file does not parse *)
 }
 
-val of_string : path:string -> string -> t
-(** Parse an in-memory source — the test fixtures' entry point. *)
-
 val load : string -> (t, string) result
-(** Read and parse a file; [Error] only for I/O failures (a file that does
-    not {e parse} still loads, with [ast = Error _]). *)
+(** Read a file; [Error] only for I/O failures. *)
 
 val lines : t -> string list
-
-val parser_mutex : Mutex.t
-(** Serialises every use of compiler-libs' global-state front end (the
-    lexer's shared buffers, and the typechecker's environment caches used by
-    {!Typed.fixture}).  Scans over the resulting immutable trees run in
-    parallel; only the front end is single-threaded. *)

@@ -1,13 +1,14 @@
-(* Shared helpers for the typed tier: path flattening and normalisation over
-   [Path.t] (the typedtree's fully resolved identifiers), binder collection,
-   and the base-identifier peel used by the mutation and escape analyses.
+(* Shared helpers over the typedtree: path flattening and normalisation over
+   [Path.t] (the typedtree's fully resolved identifiers), module-alias
+   resolution, binder collection, and the base-identifier peel used by the
+   mutation and escape analyses.
 
-   Where the untyped tier matches spellings ([Stdlib.compare] vs [compare]),
-   the typed tier matches *resolved* paths: dune's wrapped libraries route
-   cross-module references through generated alias modules ([Flp.Value.t] is
-   the recorded path for what is compiled as [Flp__Value.t]), and stdlib
-   internals surface as [Stdlib__Hashtbl.t].  [normalize] folds all of those
-   spellings onto one canonical form so rule tables stay small. *)
+   Rules match *resolved* paths, not spellings: dune's wrapped libraries
+   route cross-module references through generated alias modules
+   ([Flp.Value.t] is the recorded path for what is compiled as
+   [Flp__Value.t]), and stdlib internals surface as [Stdlib__Hashtbl.t].
+   [normalize] folds all of those spellings onto one canonical form so rule
+   tables stay small. *)
 
 module Iset = Set.Make (struct
   type t = Ident.t
@@ -59,6 +60,55 @@ let lookup_candidates segs =
   | _ -> [ String.concat "." segs ]
 
 let path_segs p = Option.map normalize (flatten_path p)
+
+(* Module aliases the structure itself declares ([module U = Unix], also
+   [let module U = Unix in]), keyed by ident, each mapped to its target's
+   resolved segments.  The typedtree records a use of such an alias as
+   [U.time]; expanding it here, rather than through [Env.normalize_path],
+   keeps the parallel per-file phase free of compiler global state. *)
+let rec resolve aliases = function
+  | Path.Pident id when Ident.global id -> Some [ Ident.name id ]
+  | Path.Pident id -> Ident.Map.find_opt id aliases
+  | Path.Pdot (p, s) -> Option.map (fun segs -> segs @ [ s ]) (resolve aliases p)
+  | Path.Papply _ -> None
+  | Path.Pextra_ty (p, _) -> resolve aliases p
+
+let aliases (str : Typedtree.structure) =
+  let map = ref Ident.Map.empty in
+  let rec peel (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_constraint (inner, _, _, _) -> peel inner
+    | Typedtree.Tmod_ident (p, _) -> Some p
+    | _ -> None
+  in
+  let add id me =
+    match Option.bind (peel me) (resolve !map) with
+    | Some segs -> map := Ident.Map.add id segs !map
+    | None -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          Option.iter (fun id -> add id mb.Typedtree.mb_expr) mb.Typedtree.mb_id;
+          Tast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.Typedtree.exp_desc with
+          | Typedtree.Texp_letmodule (Some id, _, _, me, _) -> add id me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str;
+  !map
+
+(* The canonical segments a use-site path names, aliases expanded.  [None]
+   when its head is a module or value the file binds itself: a user
+   [module Random] or [let ( == )] shadows the stdlib name, so it must not
+   match a stdlib table. *)
+let resolved_segs aliases p = Option.map normalize (resolve aliases p)
 
 (* The last [n] segments of a normalized path — rule tables match on
    suffixes so local aliases ([module A = Atomic]) still resolve. *)
@@ -115,7 +165,7 @@ let iter_exprs (str : Typedtree.structure) f =
 (* Typed findings carry the *scanned* path, not the cmt's recorded one: the
    same cmt serves audits launched from the checkout root ("lib/flp/zoo.ml")
    and from _build ("../lib/flp/zoo.ml"), and the report must echo whichever
-   spelling the run was given, like the untyped tier does. *)
+   spelling the run was given. *)
 let finding (rule : Rule.t) ~file ~(loc : Location.t) message =
   Finding.v ~rule:rule.Rule.name ~severity:rule.Rule.severity ~file
     ~line:loc.loc_start.Lexing.pos_lnum

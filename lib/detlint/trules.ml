@@ -1,15 +1,19 @@
-(* The typed tier's rule implementations, over the typedtree a cmt records.
-
-   Where the untyped tier (Rules) pattern-matches spellings, these see
+(* The rule implementations, over the typedtree a cmt records.  They see
    resolved paths and instantiated types, so they prove instead of guess:
 
+   - the name rules (unordered-iteration, physical-equality, ambient-time,
+     ambient-random, marshal, atomic-read-modify-write) match each
+     identifier's resolved path with the file's own module aliases expanded
+     (Tast.resolved_segs), so [module U = Unix] and [open Hashtbl] are seen
+     through while a user [module Random] or [let ( == )] is not mistaken
+     for the stdlib's;
    - poly-compare: classify the comparison's instantiated type (Tysafe) and
      report only real or undecidable unsafety.  [Stdlib.compare] is held to
      the strict standard (undecidable is a finding: an unannotated alias
      stays generalised at ['a], which is exactly the "prove me" case), while
      the [=]/ordering family reports only proved unsafety — legitimately
      polymorphic helpers instantiate those at type variables all over any
-     functor-heavy tree, and the untyped tier never flagged them either.
+     functor-heavy tree.
    - unguarded-shared-mutation: an escape analysis over per-function effect
      summaries (Effects), interprocedural through the cmt index, with the
      lockset classifier deciding guardedness.
@@ -30,6 +34,120 @@ let base_name = function Tast.Local id -> Ident.name id | Tast.Global s -> s
 
 let base_key = function Tast.Local id -> "L:" ^ Ident.unique_name id | Tast.Global s -> "G:" ^ s
 
+(* --- name rules ----------------------------------------------------------- *)
+
+(* One finding per identifier whose resolved path [classify] names. *)
+let ident_rule rule classify ~aliases (src : Typed.source) =
+  let acc = ref [] in
+  Tast.iter_exprs src.Typed.str (fun e ->
+      match e.Typedtree.exp_desc with
+      | Typedtree.Texp_ident (p, _, _) -> (
+          match Option.bind (Tast.resolved_segs aliases p) classify with
+          | Some m ->
+              acc := Tast.finding rule ~file:src.Typed.file.Source.path ~loc:e.exp_loc m :: !acc
+          | None -> ())
+      | _ -> ());
+  List.rev !acc
+
+let dotted = String.concat "."
+
+let unordered_iteration =
+  ident_rule Rule.unordered_iteration (function
+    | [ "Hashtbl"; ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") ] as p ->
+        Some
+          (Printf.sprintf
+             "%s enumerates in unspecified bucket order; anything built from the \
+              raw order is schedule-dependent"
+             (dotted p))
+    | [ "Sys"; "readdir" ] ->
+        Some
+          "Sys.readdir returns entries in unspecified filesystem order; sort before \
+           the order can escape"
+    | _ -> None)
+
+let physical_equality =
+  ident_rule Rule.physical_equality (function
+    | [ "==" ] -> Some "(==) is physical equality: allocation- and sharing-dependent"
+    | [ "!=" ] -> Some "(!=) is physical inequality: allocation- and sharing-dependent"
+    | _ -> None)
+
+(* The three ambient rules read Effects' table, so they flag exactly the
+   names purity-contract counts as that kind of ambient effect. *)
+let ambient_rule rule kind message =
+  ident_rule rule (fun segs ->
+      match Effects.ambient_of segs with
+      | Some (k, _) when k = kind -> Some (Printf.sprintf message (dotted segs))
+      | _ -> None)
+
+let ambient_time =
+  ambient_rule Rule.ambient_time Effects.Wall_clock
+    "%s reads the ambient wall clock; results become host- and load-dependent"
+
+let ambient_random =
+  ambient_rule Rule.ambient_random Effects.Stdlib_random
+    "%s draws from the ambient stdlib Random state, invisible to the replay seed"
+
+let marshal =
+  ambient_rule Rule.marshal Effects.Marshal_bytes
+    "%s bytes are not stable across runs or compiler versions; use the typed \
+     Flp_json tree"
+
+(* [Atomic.set a v] where [v] reads [Atomic.get a] of the same path (the
+   same binding, by stamp — not merely the same name). *)
+let atomic_rmw ~aliases (src : Typed.source) =
+  let rule = Rule.atomic_rmw in
+  let is segs (f : Typedtree.expression) =
+    match f.Typedtree.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) -> (
+        match Tast.resolved_segs aliases p with
+        | Some s -> List.equal String.equal s segs
+        | None -> false)
+    | _ -> false
+  in
+  let ident_path (e : Typedtree.expression) =
+    match e.Typedtree.exp_desc with Typedtree.Texp_ident (p, _, _) -> Some p | _ -> None
+  in
+  let reads_back target (v : Typedtree.expression) =
+    let found = ref false in
+    let it =
+      {
+        Tast_iterator.default_iterator with
+        expr =
+          (fun self e ->
+            (match e.Typedtree.exp_desc with
+            | Typedtree.Texp_apply (g, (Asttypes.Nolabel, Some a) :: _)
+              when is [ "Atomic"; "get" ] g -> (
+                match ident_path a with
+                | Some p when Path.same p target -> found := true
+                | _ -> ())
+            | _ -> ());
+            Tast_iterator.default_iterator.expr self e);
+      }
+    in
+    it.expr it v;
+    !found
+  in
+  let acc = ref [] in
+  Tast.iter_exprs src.Typed.str (fun e ->
+      match e.Typedtree.exp_desc with
+      | Typedtree.Texp_apply
+          (f, (Asttypes.Nolabel, Some a) :: (Asttypes.Nolabel, Some v) :: _)
+        when is [ "Atomic"; "set" ] f -> (
+          match ident_path a with
+          | Some p when reads_back p v ->
+              let n = Path.name p in
+              acc :=
+                Tast.finding rule ~file:src.Typed.file.Source.path ~loc:e.exp_loc
+                  (Printf.sprintf
+                     "Atomic.set of '%s' from a value computed with Atomic.get '%s': \
+                      the read-modify-write is not one atomic step, so concurrent \
+                      updates are lost"
+                     n n)
+                :: !acc
+          | _ -> ())
+      | _ -> ());
+  List.rev !acc
+
 (* --- poly-compare -------------------------------------------------------- *)
 
 (* The comparison's subject type: [compare : τ -> τ -> int] instantiated at
@@ -47,7 +165,7 @@ let poly_compare (src : Typed.source) =
   let owner = src.Typed.modname in
   let acc = ref [] in
   let report ~loc fmt = Format.kasprintf
-      (fun m -> acc := Tast.finding rule ~file:src.Typed.spath ~loc m :: !acc) fmt
+      (fun m -> acc := Tast.finding rule ~file:src.Typed.file.Source.path ~loc m :: !acc) fmt
   in
   let at_site ~strict ~name (e : Typedtree.expression) =
     (* The ordering family tolerates float (primitive float comparison is a
@@ -254,7 +372,7 @@ let pure_attr attrs =
     (fun (a : Parsetree.attribute) -> a.attr_name.txt = "detlint.pure")
     attrs
 
-let bindings_of (src : Typed.source) =
+let bindings_of ~aliases (src : Typed.source) =
   let acc = ref [] in
   let rec str_items items =
     List.iter
@@ -273,14 +391,14 @@ let bindings_of (src : Typed.source) =
                     bname;
                     pure = pure_attr vb.vb_attributes;
                     bloc = vb.vb_loc;
-                    summary = Effects.of_function vb.vb_expr;
+                    summary = Effects.of_function ~aliases vb.vb_expr;
                   }
                   :: !acc)
               vbs
         | Tstr_eval (e, attrs) ->
             acc :=
               { bname = None; pure = pure_attr attrs; bloc = item.str_loc;
-                summary = Effects.of_function e }
+                summary = Effects.of_function ~aliases e }
               :: !acc
         | Tstr_module mb -> bind_module mb
         | Tstr_recmodule mbs -> List.iter bind_module mbs
@@ -308,12 +426,12 @@ let free_in (s : Effects.t) = function
 let cmp_start (a : Location.t) (b : Location.t) =
   compare a.loc_start.Lexing.pos_cnum b.loc_start.Lexing.pos_cnum
 
-let unguarded_shared_mutation (src : Typed.source) =
+let unguarded_shared_mutation ~aliases (src : Typed.source) =
   let rule = Rule.unguarded_shared_mutation in
-  let bindings = bindings_of src in
+  let bindings = bindings_of ~aliases src in
   let acc = ref [] in
   let report ~loc fmt = Format.kasprintf
-      (fun m -> acc := Tast.finding rule ~file:src.Typed.spath ~loc m :: !acc) fmt
+      (fun m -> acc := Tast.finding rule ~file:src.Typed.file.Source.path ~loc m :: !acc) fmt
   in
   (* (a) Inside each domain-crossing closure: any (transitively) reached
      unguarded mutation of state the closure did not create is a race with
@@ -323,7 +441,7 @@ let unguarded_shared_mutation (src : Typed.source) =
     (fun b ->
       List.iter
         (fun (closure, _sloc) ->
-          let cs = Effects.of_function closure in
+          let cs = Effects.of_function ~aliases closure in
           let r = resolve_summary src cs in
           List.iter
             (fun ((base, _) as _use) ->
@@ -374,11 +492,11 @@ let unguarded_shared_mutation (src : Typed.source) =
 
 (* --- purity contracts ---------------------------------------------------- *)
 
-let purity_contract (src : Typed.source) =
+let purity_contract ~aliases (src : Typed.source) =
   let rule = Rule.purity_contract in
   let acc = ref [] in
   let report ~loc fmt = Format.kasprintf
-      (fun m -> acc := Tast.finding rule ~file:src.Typed.spath ~loc m :: !acc) fmt
+      (fun m -> acc := Tast.finding rule ~file:src.Typed.file.Source.path ~loc m :: !acc) fmt
   in
   List.iter
     (fun b ->
@@ -411,25 +529,26 @@ let purity_contract (src : Typed.source) =
               a.Effects.what)
           r.rambients
       end)
-    (bindings_of src);
+    (bindings_of ~aliases src);
   sort_findings !acc
 
 (* --- dispatch ------------------------------------------------------------ *)
 
-(* Rules this tier implements; on a typed run the runner routes these ids
-   here and strips them from the untyped pass. *)
-let typed_ids =
-  [ Rule.Poly_compare; Rule.Unguarded_shared_mutation; Rule.Purity_contract ]
-
-let check (src : Typed.source) (rule : Rule.t) =
-  match rule.Rule.id with
-  | Rule.Poly_compare -> poly_compare src
-  | Rule.Unguarded_shared_mutation -> unguarded_shared_mutation src
-  | Rule.Purity_contract -> purity_contract src
-  | _ -> []
-
-let check_all ?(rules = Rule.all) src =
-  sort_findings
-    (List.concat_map
-       (fun r -> if List.mem r.Rule.id typed_ids then check src r else [])
-       rules)
+(* bad-suppression and unused-suppression are computed by the runner from
+   the pragmas and their use counts; no tree scan here. *)
+let check_all ?(rules = Rule.all) (src : Typed.source) =
+  let aliases = Tast.aliases src.Typed.str in
+  let check (rule : Rule.t) =
+    match rule.Rule.id with
+    | Rule.Unordered_iteration -> unordered_iteration ~aliases src
+    | Rule.Poly_compare -> poly_compare src
+    | Rule.Physical_equality -> physical_equality ~aliases src
+    | Rule.Ambient_time -> ambient_time ~aliases src
+    | Rule.Ambient_random -> ambient_random ~aliases src
+    | Rule.Marshal -> marshal ~aliases src
+    | Rule.Unguarded_shared_mutation -> unguarded_shared_mutation ~aliases src
+    | Rule.Atomic_rmw -> atomic_rmw ~aliases src
+    | Rule.Purity_contract -> purity_contract ~aliases src
+    | Rule.Bad_suppression | Rule.Unused_suppression -> []
+  in
+  sort_findings (List.concat_map check rules)

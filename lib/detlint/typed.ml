@@ -1,4 +1,4 @@
-(* The typed tier's source of truth: an index over the [.cmt] files dune
+(* detlint's source of truth: an index over the [.cmt] files dune
    already produces ([-bin-annot] is on in every stanza).  Each cmt holds the
    typedtree of one compilation unit plus the path of the source it came
    from; the index maps scanned source paths back to those trees and
@@ -22,6 +22,7 @@
 type entry = {
   modname : string;  (* compilation unit, e.g. "Flp__Zoo" *)
   source_path : string list;  (* cmt-recorded path, split on '/', "."/".." dropped *)
+  digest : string option;  (* of the source text the typedtree was built from *)
   str : Typedtree.structure;
 }
 
@@ -35,9 +36,10 @@ type index = {
   local_fns : (string, Effects.t) Hashtbl.t;  (* "Unit:f_42" -> summary *)
 }
 
-(* One source under typed audit: the scanned path (echoed into findings) plus
-   its typedtree and the index it can resolve through. *)
-type source = { spath : string; modname : string; str : Typedtree.structure; index : index }
+(* One source under audit: the scanned file (its path is echoed into
+   findings, its text carries the comment pragmas) plus its typedtree and the
+   index it can resolve through. *)
+type source = { file : Source.t; modname : string; str : Typedtree.structure; index : index }
 
 let split_path p =
   List.filter (fun s -> s <> "" && s <> "." && s <> "..") (String.split_on_char '/' p)
@@ -77,7 +79,7 @@ let register_decls index ~modname str =
   in
   str_items [ modname ] str.Typedtree.str_items
 
-let register_fns index ~modname str =
+let register_fns index ~modname ~aliases str =
   let rec str_items prefix items =
     List.iter
       (fun (item : Typedtree.structure_item) ->
@@ -87,7 +89,7 @@ let register_fns index ~modname str =
               (fun (vb : Typedtree.value_binding) ->
                 match vb.vb_pat.pat_desc with
                 | Tpat_var (id, _) when Effects.is_function vb.vb_expr ->
-                    let summary = Effects.of_function vb.vb_expr in
+                    let summary = Effects.of_function ~aliases vb.vb_expr in
                     Hashtbl.replace index.local_fns (local_key modname id) summary;
                     Hashtbl.replace index.fns
                       (String.concat "." (prefix @ [ Ident.name id ]))
@@ -116,7 +118,7 @@ let register_fns index ~modname str =
    ([(module struct ... end)]), functor bodies, local lets.  Stamps are
    unique within the unit, so no prefix is needed, and overlaps with the
    dotted walk replace identical payloads. *)
-let register_local index ~modname str =
+let register_local index ~modname ~aliases str =
   let it =
     {
       Tast_iterator.default_iterator with
@@ -133,7 +135,7 @@ let register_local index ~modname str =
           (match vb.vb_pat.pat_desc with
           | Tpat_var (id, _) when Effects.is_function vb.vb_expr ->
               Hashtbl.replace index.local_fns (local_key modname id)
-                (Effects.of_function vb.vb_expr)
+                (Effects.of_function ~aliases vb.vb_expr)
           | _ -> ());
           Tast_iterator.default_iterator.value_binding sub vb);
     }
@@ -154,8 +156,9 @@ let build units =
   List.iter
     (fun (e : entry) ->
       register_decls index ~modname:e.modname e.str;
-      register_fns index ~modname:e.modname e.str;
-      register_local index ~modname:e.modname e.str)
+      let aliases = Tast.aliases e.str in
+      register_fns index ~modname:e.modname ~aliases e.str;
+      register_local index ~modname:e.modname ~aliases e.str)
     units;
   index
 
@@ -173,9 +176,15 @@ let rec walk_cmts acc dir =
 
 let read_unit path =
   match Cmt_format.read_cmt path with
-  | { cmt_annots = Cmt_format.Implementation str; cmt_modname; cmt_sourcefile = Some src; _ }
+  | {
+      cmt_annots = Cmt_format.Implementation str;
+      cmt_modname;
+      cmt_sourcefile = Some src;
+      cmt_source_digest = digest;
+      _;
+    }
     when Filename.check_suffix src ".ml" ->
-      Some { modname = cmt_modname; source_path = split_path src; str }
+      Some { modname = cmt_modname; source_path = split_path src; digest; str }
   | _ -> None
   | exception _ -> None
 
@@ -241,24 +250,37 @@ let lookup index ~path =
       in
       Option.map (fun (_, e) -> e) best
 
-let source_of index ~path =
-  Option.map
-    (fun (e : entry) -> { spath = path; modname = e.modname; str = e.str; index })
-    (lookup index ~path)
+(* A typedtree is evidence about the text it was compiled from, not about the
+   file on disk: a cmt whose recorded digest differs from the scanned text
+   would audit stale code and report it clean. *)
+let source_of index (file : Source.t) =
+  match lookup index ~path:file.Source.path with
+  | None ->
+      Error "no cmt: the file does not compile, or was not built under --cmt-dir"
+  | Some e when not (Option.equal String.equal e.digest (Some (Digest.string file.text))) ->
+      Error "stale cmt: the file changed since it was compiled; run `dune build @check`"
+  | Some e -> Ok { file; modname = e.modname; str = e.str; index }
 
 (* --- in-process fixture typing ------------------------------------------- *)
 
-(* Type an in-memory fixture against the installed stdlib, producing a
-   [source] whose index contains just itself.  The compiler front end (lexer
-   buffers, env caches, type levels) is global mutable state, so the whole
-   pipeline runs under the one parser mutex. *)
+(* Type an in-memory fixture against the installed stdlib (and [+unix], so a
+   fixture naming [Unix] needs no auto-include alert), producing a [source]
+   whose index contains just itself.  The compiler front end (lexer buffers,
+   env caches, type levels) is global mutable state, so two domains typing
+   at once corrupt each other: one process-wide mutex serialises the whole
+   pipeline.  Rule scans over the resulting immutable trees run in
+   parallel. *)
+let front_end = Mutex.create ()
+
 let fixture_count = ref 0
 
 let fixture ~path text =
-  Mutex.protect Source.parser_mutex (fun () ->
+  Mutex.protect front_end (fun () ->
       incr fixture_count;
       let modname = Printf.sprintf "Detlint_fixture_%d" !fixture_count in
       match
+        if not (List.exists (String.equal "+unix") !Clflags.include_dirs) then
+          Clflags.include_dirs := "+unix" :: !Clflags.include_dirs;
         Compmisc.init_path ();
         let env = Compmisc.initial_env () in
         let lexbuf = Lexing.from_string text in
@@ -267,9 +289,10 @@ let fixture ~path text =
         Typemod.type_structure env ast
       with
       | str, _, _, _, _ ->
-          let unit = { modname; source_path = split_path path; str } in
-          let index = build [ unit ] in
-          Ok { spath = path; modname; str; index }
+          let unit =
+            { modname; source_path = split_path path; digest = Some (Digest.string text); str }
+          in
+          Ok { file = { Source.path; text }; modname; str; index = build [ unit ] }
       | exception exn -> (
           match Location.error_of_exn exn with
           | Some (`Ok report) ->
