@@ -84,7 +84,7 @@ let e3 () =
           let inputs =
             Array.init P.n (fun i -> if i = P.n - 1 then Flp.Value.One else Flp.Value.Zero)
           in
-          let s = A.Lemma.check_lemma3 ~max_pairs:4000 ~max_configs inputs in
+          let s = A.Lemma.check_lemma3 ~max_configs inputs in
           Format.printf "%-12s %10d %10d %10d %7.1f%%@." name s.bivalent_configs
             s.pairs_checked s.pairs_holding
             (100.0 *. float_of_int s.pairs_holding /. float_of_int (max 1 s.pairs_checked)))

@@ -185,9 +185,11 @@ let ambient_of segs =
    [with_pool] body runs on the calling domain, so it is not one. *)
 let spawn_paths = [ [ "Domain"; "spawn" ]; [ "Pool"; "run" ]; [ "Pool"; "map" ] ]
 
-let fn_segs (e : Typedtree.expression) =
+(* The callee's alias-resolved segments ([module D = Domain] … [D.spawn] is
+   [Domain.spawn]); [None] for a callee the file binds itself. *)
+let fn_segs ~aliases (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Tast.path_segs p
+  | Typedtree.Texp_ident (p, _, _) -> Tast.resolved_segs aliases p
   | _ -> None
 
 let is_function (e : Typedtree.expression) =
@@ -288,7 +290,7 @@ and walk_apply sink d e f args =
   let pos_args = nolabel_args args in
   let all_args = List.filter_map (fun (_, a) -> a) args in
   let walk_args d = List.iter (fun a -> ignore (walk sink d a)) all_args in
-  match fn_segs f with
+  match fn_segs ~aliases:sink.aliases f with
   | Some segs when is_suffix segs [ "Mutex"; "lock" ] ->
       walk_args d;
       d + 1
@@ -344,47 +346,41 @@ and walk_apply sink d e f args =
         { what = "domain submission (" ^ String.concat "." (Tast.last_segs 2 segs) ^ ")";
           aloc = e.exp_loc };
       d
-  | Some segs -> (
-      walk_args d;
-      (match List.find_opt (fun (p, _) -> is_suffix segs p) stdlib_mutators with
-      | Some (_, kind) -> (
-          match pos_args with
-          | a0 :: _ -> (
-              match Tast.base_of a0 with
-              | Some b -> sink.on_mut { base = b; kind; mloc = e.exp_loc; guarded = d > 0 }
-              | None -> ())
-          | [] -> ())
-      | None -> ());
-      (* Classified on the alias-resolved path, as the ambient rules do. *)
-      (match f.exp_desc with
-      | Texp_ident (p, _, _) -> (
-          match Option.bind (Tast.resolved_segs sink.aliases p) ambient_of with
-          | Some (_, what) -> sink.on_ambient { what; aloc = e.exp_loc }
-          | None -> ())
-      | _ -> ());
-      (* Record the call edge for interprocedural resolution. *)
-      (match f.exp_desc with
-      | Texp_ident (Path.Pident id, _, _) ->
-          sink.on_call
-            {
-              callee = Cid id;
-              cloc = e.exp_loc;
-              cguarded = d > 0;
-              args = List.map Tast.base_of pos_args;
-            }
-      | Texp_ident (p, _, _) -> (
-          match Tast.path_segs p with
-          | Some s ->
+  | resolved -> (
+      match f.exp_desc with
+      | Texp_ident (p, _, _) ->
+          walk_args d;
+          Option.iter
+            (fun segs ->
+              (match (List.find_opt (fun (p, _) -> is_suffix segs p) stdlib_mutators, pos_args) with
+              | Some (_, kind), a0 :: _ ->
+                  Option.iter
+                    (fun b -> sink.on_mut { base = b; kind; mloc = e.exp_loc; guarded = d > 0 })
+                    (Tast.base_of a0)
+              | _ -> ());
+              Option.iter
+                (fun (_, what) -> sink.on_ambient { what; aloc = e.exp_loc })
+                (ambient_of segs))
+            resolved;
+          (* Record the call edge for interprocedural resolution: a local
+             callee by stamp, any other by its resolved (else spelled) path. *)
+          let callee =
+            match (p, resolved) with
+            | Path.Pident id, _ -> Some (Cid id)
+            | _, Some s -> Some (Cglobal s)
+            | _, None -> Option.map (fun s -> Cglobal s) (Tast.path_segs p)
+          in
+          Option.iter
+            (fun callee ->
               sink.on_call
-                { callee = Cglobal s; cloc = e.exp_loc; cguarded = d > 0;
-                  args = List.map Tast.base_of pos_args }
-          | None -> ())
-      | _ -> ());
-      d)
-  | None ->
-      ignore (walk sink d f);
-      walk_args d;
-      d
+                { callee; cloc = e.exp_loc; cguarded = d > 0;
+                  args = List.map Tast.base_of pos_args })
+            callee;
+          d
+      | _ ->
+          ignore (walk sink d f);
+          walk_args d;
+          d)
 
 (* --- summaries ----------------------------------------------------------- *)
 

@@ -678,6 +678,154 @@ module Make (P : Protocol.S) = struct
     Buffer.add_string buf "}\n";
     Buffer.contents buf
 
+  (* The avoid-[e] walk behind Lemma 3, its case analysis and the adversary,
+     over a flat copy of one explored graph.  The copy is built once per
+     analysis call: node [u]'s edges are [off.(u) .. off.(u+1) - 1], in
+     {!Explore.succ} order, each with its target and a dense event id
+     interned through an ordered map on {!C.compare_event}.  A walk reuses
+     the same scratch arrays: a node was reached in the current walk iff its
+     stamp equals the walk's epoch, so nothing is cleared or allocated
+     between walks. *)
+  module Avoid = struct
+    module Emap = Map.Make (struct
+      type t = C.event
+
+      let compare = C.compare_event
+    end)
+
+    type t = {
+      off : int array;
+      dst : int array;
+      lab : int array;  (* the edge's event id *)
+      ids : int Emap.t;
+      events : C.event array;  (* id -> event *)
+      bivalent : bool array;
+      stamp : int array;
+      mutable epoch : int;
+      queue : int array;  (* BFS order of the last walk: [queue.(0 .. len - 1)] *)
+      mutable len : int;
+      parent : int array;  (* valid where the stamp matches; -1 at the start *)
+      via : int array;  (* event id of the edge from [parent] *)
+    }
+
+    let create g valences =
+      let n = Explore.size g in
+      let off = Array.make (n + 1) 0 in
+      for u = 0 to n - 1 do
+        off.(u + 1) <- off.(u) + List.length (Explore.succ g u)
+      done;
+      let dst = Array.make off.(n) 0 in
+      let lab = Array.make off.(n) 0 in
+      let ids = ref Emap.empty in
+      let events = ref [] in
+      let count = ref 0 in
+      for u = 0 to n - 1 do
+        List.iteri
+          (fun j (e, t) ->
+            let k =
+              match Emap.find_opt e !ids with
+              | Some k -> k
+              | None ->
+                  let k = !count in
+                  ids := Emap.add e k !ids;
+                  events := e :: !events;
+                  incr count;
+                  k
+            in
+            dst.(off.(u) + j) <- t;
+            lab.(off.(u) + j) <- k)
+          (Explore.succ g u)
+      done;
+      {
+        off;
+        dst;
+        lab;
+        ids = !ids;
+        events = Array.of_list (List.rev !events);
+        bivalent = Array.map (Valency.equal_valence Valency.Bivalent) valences;
+        stamp = Array.make n 0;
+        epoch = 0;
+        queue = Array.make n 0;
+        len = 0;
+        parent = Array.make n (-1);
+        via = Array.make n (-1);
+      }
+
+    (* The id of [e]; -1 for an event no edge carries, which matches none. *)
+    let id ix e = Option.value (Emap.find_opt e ix.ids) ~default:(-1)
+
+    (* The target of [v]'s edge labelled [k], or -1. *)
+    let successor ix v k =
+      let t = ref (-1) in
+      let i = ref ix.off.(v) in
+      while !t < 0 && !i < ix.off.(v + 1) do
+        if ix.lab.(!i) = k then t := ix.dst.(!i);
+        incr i
+      done;
+      !t
+
+    (* Breadth-first search of the region reachable from [start] without an
+       edge labelled [k].  Returns the first node, in BFS order, whose
+       [k]-successor is bivalent; or -1 once the region is exhausted, its
+       nodes left in [queue.(0 .. len - 1)] in BFS order.  Either way the
+       parent links lead back to [start]. *)
+    let walk ix start k =
+      ix.epoch <- ix.epoch + 1;
+      let ep = ix.epoch in
+      ix.stamp.(start) <- ep;
+      ix.parent.(start) <- -1;
+      ix.queue.(0) <- start;
+      let head = ref 0 in
+      let tail = ref 1 in
+      let found = ref (-1) in
+      while !found < 0 && !head < !tail do
+        let v = ix.queue.(!head) in
+        incr head;
+        let i = ref ix.off.(v) in
+        while !found < 0 && !i < ix.off.(v + 1) do
+          let t = ix.dst.(!i) in
+          if ix.lab.(!i) = k then begin
+            if ix.bivalent.(t) then found := v
+          end
+          else if ix.stamp.(t) <> ep then begin
+            ix.stamp.(t) <- ep;
+            ix.parent.(t) <- v;
+            ix.via.(t) <- ix.lab.(!i);
+            ix.queue.(!tail) <- t;
+            incr tail
+          end;
+          incr i
+        done
+      done;
+      ix.len <- !tail;
+      !found
+
+    (* The events from the last walk's start to [v], a node it reached. *)
+    let path ix v =
+      let rec go acc v =
+        if ix.parent.(v) < 0 then acc else go (ix.events.(ix.via.(v)) :: acc) ix.parent.(v)
+      in
+      go [] v
+
+    (* Every (bivalent C, applicable e) pair in id and edge order, up to
+       [max_pairs], handed to [f id k found] with the result of its walk;
+       returns the number of pairs. *)
+    let iter_pairs ~max_pairs ix f =
+      let checked = ref 0 in
+      (try
+         Array.iteri
+           (fun id biv ->
+             if biv then
+               for i = ix.off.(id) to ix.off.(id + 1) - 1 do
+                 if !checked >= max_pairs then raise Exit;
+                 incr checked;
+                 f id ix.lab.(i) (walk ix id ix.lab.(i))
+               done)
+           ix.bivalent
+       with Exit -> ());
+      !checked
+  end
+
   module Lemma = struct
     type lemma1_report = { trials : int; holds : int; failures : string list }
 
@@ -788,66 +936,29 @@ module Make (P : Protocol.S) = struct
       counterexamples : (int * C.event) list;
     }
 
-    let e_successor g v e =
-      List.find_map
-        (fun (ev, t) -> if C.event_equal ev e then Some t else None)
-        (Explore.succ g v)
-
-    (* Does D = e(reachable-from-[start]-without-[e]) contain a bivalent
-       configuration?  BFS with early exit. *)
-    let d_contains_bivalent g valences start e =
-      let seen = Array.make (Explore.size g) false in
-      let queue = Queue.create () in
-      seen.(start) <- true;
-      Queue.push start queue;
-      let found = ref false in
-      while (not !found) && not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        (match e_successor g v e with
-        | Some t when Valency.equal_valence valences.(t) Valency.Bivalent -> found := true
-        | Some _ | None -> ());
-        if not !found then
-          List.iter
-            (fun (ev, t) ->
-              if (not (C.event_equal ev e)) && not seen.(t) then begin
-                seen.(t) <- true;
-                Queue.push t queue
-              end)
-            (Explore.succ g v)
-      done;
-      !found
-
     let check_lemma3 ?(max_pairs = max_int) ?(jobs = 1) ?(obs = Obs.disabled) ~max_configs
         inputs =
+      let m = obs.Obs.metrics in
       let g = Explore.explore ~jobs ~obs ~max_configs (C.initial inputs) in
-      let valences = Valency.classify g in
-      let bivalent_ids =
-        List.filter
-          (fun id -> Valency.equal_valence valences.(id) Valency.Bivalent)
-          (List.init (Explore.size g) (fun i -> i))
-      in
-      let checked = ref 0 in
-      let holding = ref 0 in
-      let counterexamples = ref [] in
-      (try
-         List.iter
-           (fun id ->
-             List.iter
-               (fun (e, _) ->
-                 if !checked >= max_pairs then raise Exit;
-                 incr checked;
-                 if d_contains_bivalent g valences id e then incr holding
-                 else if List.length !counterexamples < 16 then
-                   counterexamples := (id, e) :: !counterexamples)
-               (Explore.succ g id))
-           bivalent_ids
-       with Exit -> ());
-      {
-        bivalent_configs = List.length bivalent_ids;
-        pairs_checked = !checked;
-        pairs_holding = !holding;
-        counterexamples = List.rev !counterexamples;
-      }
+      Obs.Metrics.time (Obs.Metrics.timer m "lemma3.time") (fun () ->
+          let ix = Avoid.create g (Valency.classify g) in
+          let holding = ref 0 in
+          let counterexamples = ref [] in
+          let checked =
+            Avoid.iter_pairs ~max_pairs ix (fun id k found ->
+                if found >= 0 then incr holding
+                else if List.length !counterexamples < 16 then
+                  counterexamples := (id, ix.events.(k)) :: !counterexamples)
+          in
+          Obs.Metrics.incr (Obs.Metrics.counter m "lemma3.pairs") checked;
+          Obs.Metrics.incr (Obs.Metrics.counter m "lemma3.holding") !holding;
+          {
+            bivalent_configs =
+              Array.fold_left (fun a b -> if b then a + 1 else a) 0 ix.bivalent;
+            pairs_checked = checked;
+            pairs_holding = !holding;
+            counterexamples = List.rev !counterexamples;
+          })
 
     type lemma3_cases = {
       failing_pairs : int;
@@ -857,94 +968,67 @@ module Make (P : Protocol.S) = struct
       uniform_d : int;
     }
 
-    (* Members of the avoid-[e] region from [start]. *)
-    let region g start e =
-      let seen = Array.make (Explore.size g) false in
-      let queue = Queue.create () in
-      seen.(start) <- true;
-      Queue.push start queue;
-      let members = ref [] in
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        members := v :: !members;
-        List.iter
-          (fun (ev, t) ->
-            if (not (C.event_equal ev e)) && not seen.(t) then begin
-              seen.(t) <- true;
-              Queue.push t queue
-            end)
-          (Explore.succ g v)
-      done;
-      !members
-
     let lemma3_case_analysis ?(max_pairs = max_int) ?(jobs = 1) ?(obs = Obs.disabled)
         ~max_configs inputs =
       let g = Explore.explore ~jobs ~obs ~max_configs (C.initial inputs) in
       let valences = Valency.classify g in
-      let bivalent_ids =
-        List.filter
-          (fun id -> Valency.equal_valence valences.(id) Valency.Bivalent)
-          (List.init (Explore.size g) (fun i -> i))
-      in
-      let checked = ref 0 in
+      let ix = Avoid.create g valences in
       let failing = ref 0 in
       let witnessed = ref 0 in
       let case1 = ref 0 in
       let case2 = ref 0 in
       let uniform = ref 0 in
-      let e_valence v e =
-        Option.map (fun t -> valences.(t)) (e_successor g v e)
+      let e_valence v k =
+        let t = Avoid.successor ix v k in
+        if t < 0 then None else Some valences.(t)
       in
-      (try
-         List.iter
-           (fun id ->
-             List.iter
-               (fun (e, _) ->
-                 if !checked >= max_pairs then raise Exit;
-                 incr checked;
-                 if not (d_contains_bivalent g valences id e) then begin
-                   incr failing;
-                   let members = region g id e in
-                   (* the proof's pivot: one step inside the region flips the
-                      e-successor's univalence *)
-                   let witness =
-                     List.find_map
-                       (fun u ->
-                         match e_valence u e with
-                         | Some (Valency.Univalent a) ->
-                             List.find_map
-                               (fun ((e' : C.event), t) ->
-                                 if C.event_equal e' e then None
-                                 else
-                                   match e_valence t e with
-                                   | Some (Valency.Univalent b)
-                                     when not (Value.equal a b) ->
-                                       Some e'.dest
-                                   | Some _ | None -> None)
-                               (Explore.succ g u)
+      (* the proof's pivot at [u]: one non-[k] step whose target's
+         [k]-successor has the opposite univalence *)
+      let pivot_at u k =
+        match e_valence u k with
+        | Some (Valency.Univalent a) ->
+            let rec scan i =
+              if i >= ix.off.(u + 1) then None
+              else if ix.lab.(i) = k then scan (i + 1)
+              else
+                match e_valence ix.dst.(i) k with
+                | Some (Valency.Univalent b) when not (Value.equal a b) ->
+                    Some ix.events.(ix.lab.(i)).dest
+                | Some _ | None -> scan (i + 1)
+            in
+            scan ix.off.(u)
+        | Some _ | None -> None
+      in
+      ignore
+        (Avoid.iter_pairs ~max_pairs ix (fun _ k found ->
+             if found < 0 then begin
+               incr failing;
+               (* the walk exhausted the avoid-[k] region: its members are
+                  the queue, searched last-reached first *)
+               let rec witness j =
+                 if j < 0 then None
+                 else
+                   match pivot_at ix.queue.(j) k with
+                   | Some p' -> Some p'
+                   | None -> witness (j - 1)
+               in
+               match witness (ix.len - 1) with
+               | Some p' ->
+                   incr witnessed;
+                   if p' = ix.events.(k).dest then incr case2 else incr case1
+               | None ->
+                   (* no pivot: is all of D univalent for one value? *)
+                   let values =
+                     List.filter_map
+                       (fun j ->
+                         match e_valence ix.queue.(j) k with
+                         | Some (Valency.Univalent v) -> Some v
                          | Some _ | None -> None)
-                       members
+                       (List.init ix.len Fun.id)
+                     |> List.sort_uniq Value.compare
                    in
-                   match witness with
-                   | Some p' ->
-                       incr witnessed;
-                       if p' = e.dest then incr case2 else incr case1
-                   | None ->
-                       (* no pivot: is all of D univalent for one value? *)
-                       let values =
-                         List.filter_map
-                           (fun u ->
-                             match e_valence u e with
-                             | Some (Valency.Univalent v) -> Some v
-                             | Some _ | None -> None)
-                           members
-                         |> List.sort_uniq Value.compare
-                       in
-                       if List.length values <= 1 then incr uniform
-                 end)
-               (Explore.succ g id))
-           bivalent_ids
-       with Exit -> ());
+                   if List.length values <= 1 then incr uniform
+             end));
       {
         failing_pairs = !failing;
         with_neighbor_witness = !witnessed;
@@ -1212,42 +1296,9 @@ module Make (P : Protocol.S) = struct
     (* Shortest schedule sigma from [start] avoiding [e] such that
        [e (sigma start)] is bivalent, returned as the event path; [None] when
        no node of the avoid-e region has a bivalent e-successor. *)
-    let find_stage_schedule g valences start e =
-      let n = Explore.size g in
-      let parent = Array.make n (-2) in
-      (* -2 unseen, -1 root *)
-      let parent_event = Array.make n None in
-      let queue = Queue.create () in
-      parent.(start) <- -1;
-      Queue.push start queue;
-      let target = ref None in
-      while !target = None && not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        (match Lemma.e_successor g v e with
-        | Some t when Valency.equal_valence valences.(t) Valency.Bivalent ->
-            target := Some v
-        | Some _ | None -> ());
-        if !target = None then
-          List.iter
-            (fun (ev, t) ->
-              if (not (C.event_equal ev e)) && parent.(t) = -2 then begin
-                parent.(t) <- v;
-                parent_event.(t) <- Some ev;
-                Queue.push t queue
-              end)
-            (Explore.succ g v)
-      done;
-      match !target with
-      | None -> None
-      | Some v ->
-          let rec build acc v =
-            if parent.(v) = -1 then acc
-            else
-              match parent_event.(v) with
-              | Some ev -> build (ev :: acc) parent.(v)
-              | None -> acc
-          in
-          Some (build [] v)
+    let find_stage_schedule ix start e =
+      let v = Avoid.walk ix start (Avoid.id ix e) in
+      if v < 0 then None else Some (Avoid.path ix v)
 
     (* Remove the first pending entry matching a delivery event. *)
     let rec remove_pending e = function
@@ -1268,6 +1319,7 @@ module Make (P : Protocol.S) = struct
       let valences = Valency.classify g in
       if not (Valency.equal_valence valences.(0) Valency.Bivalent) then
         invalid_arg "Adversary.run: initial configuration is not bivalent";
+      let ix = Avoid.create g valences in
       let current_id = ref 0 in
       let current_cfg = ref (Explore.config g 0) in
       let queue = ref (List.init P.n (fun i -> i)) in
@@ -1286,7 +1338,7 @@ module Make (P : Protocol.S) = struct
                  | Some (_, msg) -> C.deliver p msg
                  | None -> C.null_event p
                in
-               match find_stage_schedule g valences !current_id forced with
+               match find_stage_schedule ix !current_id forced with
                | None ->
                    outcome :=
                      Stuck

@@ -306,7 +306,13 @@ module Make (P : Protocol.S) : sig
     (** For each reachable bivalent configuration [C] of the run from the
         given inputs and each applicable event [e], check that
         [D = e(%C)] contains a bivalent configuration, where [%C] is the set
-        reachable from [C] without applying [e]. *)
+        reachable from [C] without applying [e].  Pairs are taken in
+        configuration-id order, then in {!Explore.succ} order; [max_pairs]
+        keeps a prefix of them.
+
+        [obs] records the [lemma3.pairs] and [lemma3.holding] counters and
+        times the pass after the root exploration (classification, the
+        graph index and every pair's walk) as the [lemma3.time] timer. *)
 
     type lemma3_cases = {
       failing_pairs : int;

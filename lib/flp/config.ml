@@ -29,6 +29,8 @@ module type S = sig
 
   val events : t -> event list
 
+  val compare_event : event -> event -> int
+
   val event_equal : event -> event -> bool
 
   val apply : t -> event -> t
@@ -126,13 +128,17 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
     let delivers = List.map (fun (d, m) -> deliver d m) (MB.deliverable t.buffer) in
     nulls @ delivers
 
-  let event_equal e1 e2 =
-    e1.dest = e2.dest
-    &&
-    match (e1.msg, e2.msg) with
-    | None, None -> true
-    | Some m1, Some m2 -> P.compare_msg m1 m2 = 0
-    | None, Some _ | Some _, None -> false
+  let compare_event e1 e2 =
+    match Int.compare e1.dest e2.dest with
+    | 0 -> (
+        match (e1.msg, e2.msg) with
+        | None, None -> 0
+        | None, Some _ -> -1
+        | Some _, None -> 1
+        | Some m1, Some m2 -> P.compare_msg m1 m2)
+    | c -> c
+
+  let event_equal e1 e2 = compare_event e1 e2 = 0
 
   let pp_event ppf e =
     match e.msg with

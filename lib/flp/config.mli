@@ -49,7 +49,12 @@ module type S = sig
   (** Every applicable event: one null event per process, then one delivery
       event per distinct pending [(dest, msg)] pair, in canonical order. *)
 
+  val compare_event : event -> event -> int
+  (** A total order on events: by destination, the null event first, then
+      deliveries by {!Protocol.S.compare_msg}. *)
+
   val event_equal : event -> event -> bool
+  (** [compare_event e1 e2 = 0]. *)
 
   val apply : t -> event -> t
   (** One step.  Enforces the write-once output register. *)

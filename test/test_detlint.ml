@@ -380,6 +380,28 @@ let test_race_matrix () =
       "  let d = Domain.spawn (fun () -> !c) in";
       "  c := 1;";
       "  Domain.join d";
+    ];
+  (* Spawn points and locks are matched on alias-resolved paths. *)
+  check_rules "aliased Domain.spawn -> finding"
+    [ "unguarded-shared-mutation" ]
+    [
+      "module D = Domain";
+      "let go () =";
+      "  let c = ref 0 in";
+      "  let d = D.spawn (fun () -> incr c) in";
+      "  D.join d;";
+      "  !c";
+    ];
+  check_rules "aliased Mutex.protect on both sides -> clean" []
+    [
+      "module M = Mutex";
+      "let go () =";
+      "  let c = ref 0 in";
+      "  let m = M.create () in";
+      "  let d = Domain.spawn (fun () -> M.protect m (fun () -> incr c)) in";
+      "  M.protect m (fun () -> incr c);";
+      "  Domain.join d;";
+      "  !c";
     ]
 
 (* The escape analysis is interprocedural within the indexed set: a mutation

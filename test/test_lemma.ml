@@ -73,6 +73,119 @@ let test_lemma3_max_pairs () =
   let s = AR.Lemma.check_lemma3 ~max_pairs:10 ~max_configs:200_000 v001 in
   Alcotest.(check int) "bounded" 10 s.pairs_checked
 
+(* Reference oracle: the avoid-[e] BFS as [Lemma.check_lemma3] ran it
+   before the flat graph index — a fresh [bool array] per (C, e) pair over
+   [Explore.succ].  It returns every pair's verdict in check order, so any
+   [max_pairs] prefix can be compared against it. *)
+module Oracle (P : Protocol.S) = struct
+  module A = Analysis.Make (P)
+
+  let d_contains_bivalent g valences start e =
+    let seen = Array.make (A.Explore.size g) false in
+    let queue = Queue.create () in
+    seen.(start) <- true;
+    Queue.push start queue;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      (match
+         List.find_map
+           (fun (ev, t) -> if A.C.event_equal ev e then Some t else None)
+           (A.Explore.succ g v)
+       with
+      | Some t when A.Valency.equal_valence valences.(t) A.Valency.Bivalent -> found := true
+      | Some _ | None -> ());
+      if not !found then
+        List.iter
+          (fun (ev, t) ->
+            if (not (A.C.event_equal ev e)) && not seen.(t) then begin
+              seen.(t) <- true;
+              Queue.push t queue
+            end)
+          (A.Explore.succ g v)
+    done;
+    !found
+
+  (* (bivalent configurations, every pair's (id, event, holds) in order) *)
+  let pairs ~max_configs inputs =
+    let g = A.Explore.explore ~max_configs (A.C.initial inputs) in
+    let valences = A.Valency.classify g in
+    let bivalent =
+      List.filter
+        (fun id -> A.Valency.equal_valence valences.(id) A.Valency.Bivalent)
+        (List.init (A.Explore.size g) Fun.id)
+    in
+    ( List.length bivalent,
+      List.concat_map
+        (fun id ->
+          List.map
+            (fun (e, _) -> (id, e, d_contains_bivalent g valences id e))
+            (A.Explore.succ g id))
+        bivalent )
+
+  let show (id, e) = Format.asprintf "%d,%a" id A.C.pp_event e
+
+  let stats_of ~max_pairs (bivalent, all) =
+    let prefix = List.filteri (fun i _ -> i < max_pairs) all in
+    let failing = List.filter (fun (_, _, holds) -> not holds) prefix in
+    ( bivalent,
+      List.length prefix,
+      List.length prefix - List.length failing,
+      List.filteri (fun i _ -> i < 16) (List.map (fun (id, e, _) -> show (id, e)) failing) )
+
+  let stats_of_lemma3 (s : A.Lemma.lemma3_stats) =
+    (s.bivalent_configs, s.pairs_checked, s.pairs_holding, List.map show s.counterexamples)
+end
+
+let stats = Alcotest.(pair (pair int int) (pair int (list string)))
+
+let flat (a, b, c, d) = ((a, b), (c, d))
+
+let test_lemma3_matches_oracle () =
+  let max_configs = 200_000 in
+  List.iter
+    (fun (entry : Zoo.entry) ->
+      let module P = (val entry.protocol : Protocol.S) in
+      let module O = Oracle (P) in
+      List.iter
+        (fun inputs ->
+          let name =
+            Printf.sprintf "%s %s" entry.name
+              (String.concat "" (Array.to_list (Array.map Value.to_string inputs)))
+          in
+          let oracle = O.pairs ~max_configs inputs in
+          let total = List.length (snd oracle) in
+          List.iter
+            (fun max_pairs ->
+              Alcotest.check stats
+                (Printf.sprintf "%s max_pairs %d" name max_pairs)
+                (flat (O.stats_of ~max_pairs oracle))
+                (flat
+                   (O.stats_of_lemma3 (O.A.Lemma.check_lemma3 ~max_pairs ~max_configs inputs))))
+            [ 1; 10; total / 2; total ];
+          Alcotest.check stats (name ^ " all pairs")
+            (flat (O.stats_of ~max_pairs:max_int oracle))
+            (flat (O.stats_of_lemma3 (O.A.Lemma.check_lemma3 ~max_configs inputs))))
+        (O.A.Lemma.bivalent_initials ~max_configs ()))
+    (List.filter (fun (e : Zoo.entry) -> e.expected.has_bivalent_initial) Zoo.all)
+
+(* race:2 from 001, measured with the oracle's walk. *)
+let test_lemma3_race_pins () =
+  let s = AR.Lemma.check_lemma3 ~max_configs:200_000 v001 in
+  Alcotest.(check int) "bivalent configurations" 241 s.bivalent_configs;
+  Alcotest.(check int) "pairs" 1_957 s.pairs_checked;
+  Alcotest.(check int) "holding" 1_469 s.pairs_holding;
+  Alcotest.(check int) "16 counterexamples" 16 (List.length s.counterexamples);
+  (match s.counterexamples with
+  | (id, e) :: _ ->
+      Alcotest.(check string) "first counterexample" "11,(p1, vote:0:r1:0)"
+        (Format.asprintf "%d,%a" id AR.C.pp_event e)
+  | [] -> Alcotest.fail "no counterexamples");
+  let c = AR.Lemma.lemma3_case_analysis ~max_configs:200_000 v001 in
+  Alcotest.(check (list int)) "failing, pivots, case1, case2, uniform"
+    [ 488; 440; 0; 440; 0 ]
+    [ c.failing_pairs; c.with_neighbor_witness; c.case1; c.case2; c.uniform_d ]
+
 let test_partial_correctness_race () =
   let c = AR.Lemma.check_partial_correctness ~max_configs:200_000 () in
   Alcotest.(check bool) "no conflicts" true c.no_conflicting_decisions;
@@ -249,6 +362,8 @@ let () =
         [
           Alcotest.test_case "race" `Slow test_lemma3_race;
           Alcotest.test_case "max_pairs" `Quick test_lemma3_max_pairs;
+          Alcotest.test_case "matches the reference walk" `Slow test_lemma3_matches_oracle;
+          Alcotest.test_case "race:2 pins" `Quick test_lemma3_race_pins;
           Alcotest.test_case "case analysis (Figs 2-3)" `Slow test_lemma3_case_analysis_race;
         ] );
       ( "lemma2-chain",

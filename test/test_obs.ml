@@ -325,6 +325,31 @@ let test_explore_por_counters () =
         (A.Explore.proviso_count g) (counter "explore.por.proviso");
       Alcotest.(check bool) "pruning happened" true (A.Explore.pruned_count g > 0)
 
+(* Lemma 3 attributes its pass: the pair counters match the returned stats
+   (race:2 from 001: 1,957 pairs, 1,469 holding) at every jobs level, and
+   the pass is timed once per call. *)
+let test_lemma3_counters () =
+  match Flp.Zoo.find "race:2" with
+  | None -> Alcotest.fail "race:2 missing from the zoo"
+  | Some protocol ->
+      let module P = (val protocol : Flp.Protocol.S) in
+      let module A = Flp.Analysis.Make (P) in
+      let inputs = Array.init P.n (fun i -> Flp.Value.of_int (if i = P.n - 1 then 1 else 0)) in
+      List.iter
+        (fun jobs ->
+          let m = Obs.Metrics.create () in
+          let obs = Obs.create ~metrics:m () in
+          let s = A.Lemma.check_lemma3 ~jobs ~obs ~max_configs:200_000 inputs in
+          let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter m name) in
+          let at name = Printf.sprintf "%s at jobs=%d" name jobs in
+          Alcotest.(check int) (at "lemma3.pairs") 1_957 (counter "lemma3.pairs");
+          Alcotest.(check int) (at "lemma3.holding") 1_469 (counter "lemma3.holding");
+          Alcotest.(check int) (at "pairs = stats") s.pairs_checked (counter "lemma3.pairs");
+          Alcotest.(check int) (at "holding = stats") s.pairs_holding (counter "lemma3.holding");
+          Alcotest.(check int) (at "lemma3.time calls") 1
+            (Obs.Metrics.timer_calls (Obs.Metrics.timer m "lemma3.time")))
+        [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine probes                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -443,6 +468,7 @@ let () =
           Alcotest.test_case "configs counter = graph size" `Quick
             test_explore_configs_counter_matches_size;
         ] );
+      ("lemma3", [ Alcotest.test_case "pair counters and timer" `Quick test_lemma3_counters ]);
       ("engine", [ Alcotest.test_case "event-loop probes" `Quick test_engine_metrics ]);
       ("lint", [ Alcotest.test_case "per-rule timers" `Quick test_lint_rule_timers ]);
     ]
